@@ -237,7 +237,7 @@ def _check_p2(problem: Problem, weights: np.ndarray,
               limit: int | None) -> list[Violation]:
     graph = problem.graph
     u_arr, v_arr, _ = graph.edge_arrays()
-    delays = np.asarray(graph.delays)
+    delays = graph.delay_array()
     registered = np.nonzero((weights > 0) & (v_arr != 0))[0]
     if not registered.size:
         return []
@@ -301,7 +301,7 @@ def _check_p1(problem: Problem, weights: np.ndarray,
               labels: BoundaryLabels,
               delta: np.ndarray | None) -> Violation | None:
     graph = problem.graph
-    delays = np.asarray(graph.delays)
+    delays = graph.delay_array()
     slack = np.where(np.isfinite(labels.L), labels.L - delays, 0.0)
     slack[0] = 0.0
     worst = int(np.argmin(slack))

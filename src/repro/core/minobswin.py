@@ -246,13 +246,23 @@ def minobswin_retiming(problem: Problem, r0: np.ndarray,
         objective = problem.objective(r)
         if tracer is not None:
             tracer.add_attrs(iterations=iterations, commits=commits,
-                             passes=passes, objective=int(objective))
+                             passes=passes, objective=int(objective),
+                             trees_evaluated=forest.trees_evaluated,
+                             trees_cached=forest.trees_cached)
     REGISTRY.counter(
         "solver.iterations",
         help="MinObs/MinObsWin main-loop iterations").inc(iterations)
     REGISTRY.counter(
         "solver.commits",
         help="Committed retiming updates (#J)").inc(commits)
+    REGISTRY.counter(
+        "solver.forest.trees_evaluated",
+        help="Forest trees re-evaluated by the DP (dirty trees)"
+    ).inc(forest.trees_evaluated)
+    REGISTRY.counter(
+        "solver.forest.trees_cached",
+        help="Forest trees served from the per-root selection cache"
+    ).inc(forest.trees_cached)
     return RetimingResult(
         r=r, objective=objective, commits=commits, iterations=iterations,
         passes=passes, constraints_added=constraints_added, blocked=blocked,

@@ -10,10 +10,16 @@ forest of [20] used by the MinObs baseline).
 
 The candidate move set of each iteration is the maximum-gain vertex set
 closed under the stored constraints, computed exactly by a per-tree
-dynamic program in :meth:`RegularForest.positive_delta` (this realizes
-directly what the regularity conditions of [20] maintain incrementally
-for whole-tree selection).  Constraints dragging the pinned host vertex
-exclude their movers (the host cannot move).
+dynamic program in :meth:`RegularForest.positive_delta`.  Like the
+incremental regularity maintenance of [20], the work per iteration is
+proportional to what changed: singleton trees (most of the forest) are
+settled in one vectorized step, and each multi-vertex tree's selection is
+cached by its root and re-evaluated only when the tree is *dirty*.  A
+tree becomes dirty when an operation touches it -- ``link``, re-rooting,
+``break_tree``, ``set_weight``, ``pin_tree`` or ``reset``; the gains
+``b`` never change, so a tree nothing touched keeps its selection.
+Constraints dragging the pinned host vertex exclude their movers (the
+host cannot move).
 
 Weight updates follow the paper's ``BreakTree`` discipline: a vertex's
 weight may only change while it is a tree by itself, so the forest first
@@ -42,16 +48,17 @@ class RegularForest:
 
     def __init__(self, gains: np.ndarray, pinned: int = 0):
         self.b = np.asarray(gains, dtype=np.int64)
+        self._gain = self.b.tolist()
         n = len(self.b)
         self.pinned = pinned
-        self.parent: list[int] = [-1] * n
-        self.children: list[set[int]] = [set() for _ in range(n)]
-        # For a child c: True  -> constraint (c, parent): c drags parent
-        #                False -> constraint (parent, c): parent drags c
-        self.drags_parent: list[bool] = [False] * n
-        self.weight: list[int] = [1] * n
-        self.weight[pinned] = 0
-        self.n_constraints = 0
+        # Per-vertex DP scratch, reused by every tree evaluation.
+        self._f_in = [0] * n
+        self._f_out = [0] * n
+        #: Trees evaluated by the DP / served from the per-root cache,
+        #: summed over all ``positive_delta`` calls.
+        self.trees_evaluated = 0
+        self.trees_cached = 0
+        self.reset()
 
     # ------------------------------------------------------------------
     # Tree navigation
@@ -101,6 +108,11 @@ class RegularForest:
         path: list[int] = [v]
         while self.parent[path[-1]] >= 0:
             path.append(self.parent[path[-1]])
+        if len(path) > 1:
+            # The tree's root changes: its selection is now stale.
+            self._selection.pop(path[-1], None)
+            self._roots.discard(path[-1])
+            self._roots.add(v)
         # path = v .. old_root; reverse each edge along it.
         for child, parent in zip(path, path[1:]):
             # remove child from parent, attach parent under child
@@ -121,13 +133,20 @@ class RegularForest:
         """
         if p == q:
             raise RetimingError("cannot link a vertex to itself")
-        if self.root(p) == self.root(q):
+        root_p = self.root(p)
+        if root_p == self.root(q):
             raise RetimingError("link requires distinct trees")
         self._reroot(q)
         self.parent[q] = p
         self.children[p].add(q)
         self.drags_parent[q] = False  # constraint (parent, child) = (p, q)
         self.n_constraints += 1
+        # q's tree is absorbed; p's tree (same root) changed.
+        self._selection.pop(q, None)
+        self._roots.discard(q)
+        self._selection.pop(root_p, None)
+        self._roots.add(root_p)
+        self._in_tree[p] = self._in_tree[q] = True
 
     def break_tree(self, q: int) -> None:
         """The paper's BreakTree: isolate ``q`` as a singleton tree.
@@ -137,9 +156,17 @@ class RegularForest:
         are re-discovered by later violations).
         """
         self._reroot(q)
+        self._selection.pop(q, None)
+        self._roots.discard(q)
+        self._in_tree[q] = False
         for child in self.children[q]:
             self.parent[child] = -1
             self.n_constraints -= 1
+            # Each child now roots its own (never evaluated) tree.
+            if self.children[child]:
+                self._roots.add(child)
+            else:
+                self._in_tree[child] = False
         self.children[q].clear()
 
     def is_singleton(self, v: int) -> bool:
@@ -157,6 +184,7 @@ class RegularForest:
         if w < 1:
             raise RetimingError("move weights must be >= 1")
         self.weight[q] = int(w)
+        self._weight[q] = int(w)
 
     def implies(self, p: int, q: int) -> bool:
         """True when the stored constraints already force q to follow p.
@@ -240,71 +268,101 @@ class RegularForest:
         nothing.  Returns ``delta[v] = w(v)`` for selected vertices, 0
         elsewhere.
 
-        This realizes the regular forest's purpose -- ``I`` is the
-        max-gain closed set under A -- with an explicit optimization
-        instead of the incremental regularity maintenance of [20]; both
-        give a closed set whose move strictly improves the objective.
+        A singleton tree is selected exactly when ``b(v) w(v) > 0`` and
+        it is not the host; all singletons are settled in one vectorized
+        step.  A multi-vertex tree's selection is cached by its root and
+        recomputed only when the tree is dirty: every structural or
+        weight operation (``link``, re-rooting, ``break_tree``,
+        ``set_weight``, ``pin_tree``, ``reset``) drops the cached
+        selection of each tree it touches.  The result is the same as a
+        full DP over every tree: the trees are disjoint and a clean tree's
+        members, edges and weights are exactly those it was evaluated
+        with.
         """
-        n = self.n_vertices
-        delta = np.zeros(n, dtype=np.int64)
-        visited = [False] * n
+        weight = self._weight
+        # The host's weight is 0, so b * w > 0 already leaves it out.
+        delta = np.where((self.b * weight > 0) & ~self._in_tree, weight, 0)
+        selection = self._selection
+        for root in self._roots:
+            chosen = selection.get(root)
+            if chosen is None:
+                chosen = selection[root] = self._select_tree(root)
+                self.trees_evaluated += 1
+            else:
+                self.trees_cached += 1
+            if chosen[0].size:
+                delta[chosen[0]] = chosen[1]
+        return delta
+
+    def _select_tree(self, root: int) -> tuple[np.ndarray, np.ndarray]:
+        """DP over the tree at ``root``: ``(vertices, weights)`` chosen."""
+        children = self.children
+        drags_parent = self.drags_parent
+        weight = self.weight
+        gain_of = self._gain
+        pinned = self.pinned
+        f_in = self._f_in
+        f_out = self._f_out
         NEG = -(1 << 62)
 
-        for start in range(n):
-            if visited[start] or self.parent[start] >= 0:
-                continue
-            # Iterative post-order over the tree rooted at `start`.
-            order: list[int] = []
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                visited[v] = True
-                order.append(v)
-                stack.extend(self.children[v])
-            f_in = [0] * n
-            f_out = [0] * n
-            for v in reversed(order):
-                gain = NEG if v == self.pinned \
-                    else int(self.b[v]) * self.weight[v]
-                acc_in = gain
-                acc_out = 0
-                for c in self.children[v]:
-                    if self.drags_parent[c]:
-                        # (c, v): c in => v in; v out forces c out.
-                        acc_in += max(f_in[c], f_out[c])
-                        acc_out += f_out[c]
-                    else:
-                        # (v, c): v in => c in.
-                        acc_in += f_in[c]
-                        acc_out += max(f_in[c], f_out[c])
-                f_in[v] = max(acc_in, NEG)
-                f_out[v] = acc_out
-            if max(f_in[start], f_out[start]) <= 0:
-                continue
+        # Root-first order; reversed, every child precedes its parent.
+        order = [root]
+        for v in order:
+            order.extend(children[v])
+        for v in reversed(order):
+            acc_in = NEG if v == pinned else gain_of[v] * weight[v]
+            acc_out = 0
+            for c in children[v]:
+                c_in = f_in[c]
+                c_out = f_out[c]
+                c_best = c_in if c_in > c_out else c_out
+                if drags_parent[c]:
+                    # (c, v): c in => v in; v out forces c out.
+                    acc_in += c_best
+                    acc_out += c_out
+                else:
+                    # (v, c): v in => c in.
+                    acc_in += c_in
+                    acc_out += c_best
+            f_in[v] = acc_in if acc_in > NEG else NEG
+            f_out[v] = acc_out
+
+        chosen: list[int] = []
+        if max(f_in[root], f_out[root]) > 0:
             # Backtrack the optimal states.
-            choose = [(start, f_in[start] > f_out[start])]
-            while choose:
-                v, inside = choose.pop()
+            stack = [(root, f_in[root] > f_out[root])]
+            while stack:
+                v, inside = stack.pop()
                 if inside:
-                    delta[v] = self.weight[v]
-                for c in self.children[v]:
-                    if self.drags_parent[c]:
+                    chosen.append(v)
+                for c in children[v]:
+                    if drags_parent[c]:
                         child_in = f_in[c] > f_out[c] if inside else False
                     else:
                         child_in = True if inside \
                             else f_in[c] > f_out[c]
-                    choose.append((c, child_in))
-        return delta
+                    stack.append((c, child_in))
+        vertices = np.array(chosen, dtype=np.int64)
+        return vertices, self._weight[vertices]
 
     def reset(self) -> None:
         """Drop all constraints and reset all weights to 1 (new pass)."""
         n = self.n_vertices
-        self.parent = [-1] * n
-        self.children = [set() for _ in range(n)]
-        self.drags_parent = [False] * n
-        self.weight = [1] * n
+        self.parent: list[int] = [-1] * n
+        self.children: list[set[int]] = [set() for _ in range(n)]
+        # For a child c: True  -> constraint (c, parent): c drags parent
+        #                False -> constraint (parent, c): parent drags c
+        self.drags_parent: list[bool] = [False] * n
+        self.weight: list[int] = [1] * n
         self.weight[self.pinned] = 0
         self.n_constraints = 0
+        # ``weight`` as a vector; membership in a multi-vertex tree; the
+        # roots of those trees; and their cached selections by root
+        # (present only while the tree is clean).
+        self._weight = np.array(self.weight, dtype=np.int64)
+        self._in_tree = np.zeros(n, dtype=bool)
+        self._roots: set[int] = set()
+        self._selection: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __repr__(self) -> str:
         return (f"RegularForest(|V|={self.n_vertices}, "

@@ -71,6 +71,9 @@ class RetimingGraph:
         self.in_edges: list[list[int]] = [[]]
         self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | \
             None = None
+        self._adjacency: tuple[list[list[tuple[int, int]]],
+                               list[list[tuple[int, int]]]] | None = None
+        self._delay_array: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,6 +91,8 @@ class RetimingGraph:
         self.delays.append(float(delay))
         self.out_edges.append([])
         self.in_edges.append([])
+        self._adjacency = None
+        self._delay_array = None
         return idx
 
     def add_edge(self, u: int | str, v: int | str, w: int,
@@ -104,6 +109,7 @@ class RetimingGraph:
         self.out_edges[ui].append(eidx)
         self.in_edges[vi].append(eidx)
         self._edge_arrays = None
+        self._adjacency = None
         return eidx
 
     @classmethod
@@ -172,6 +178,34 @@ class RetimingGraph:
                             count=n)
             self._edge_arrays = (u, v, w)
         return self._edge_arrays
+
+    def fanout(self) -> list[list[tuple[int, int]]]:
+        """Cached ``(eidx, v)`` pairs per vertex, in ``out_edges`` order.
+
+        The flat form of the timing passes' walk (do not mutate).
+        """
+        return self._flat_adjacency()[0]
+
+    def fanin(self) -> list[list[tuple[int, int]]]:
+        """Cached ``(eidx, u)`` pairs per vertex, in ``in_edges`` order."""
+        return self._flat_adjacency()[1]
+
+    def _flat_adjacency(self) -> tuple[list[list[tuple[int, int]]],
+                                       list[list[tuple[int, int]]]]:
+        if self._adjacency is None:
+            edges = self.edges
+            fanout = [[(eidx, edges[eidx].v) for eidx in out]
+                      for out in self.out_edges]
+            fanin = [[(eidx, edges[eidx].u) for eidx in inc]
+                     for inc in self.in_edges]
+            self._adjacency = (fanout, fanin)
+        return self._adjacency
+
+    def delay_array(self) -> np.ndarray:
+        """Cached vector of vertex delays (do not mutate)."""
+        if self._delay_array is None:
+            self._delay_array = np.asarray(self.delays, dtype=float)
+        return self._delay_array
 
     def retimed_weights(self, r: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vector of ``w_r(e)`` for all edges under retiming ``r``."""
@@ -267,28 +301,37 @@ class RetimingGraph:
         accommodate).
         """
         weights = self.retimed_weights(r)
+        return self.zero_weight_order(weights, weights.tolist())
+
+    def zero_weight_order(self, weights: np.ndarray,
+                          weight_list: list[int]) -> list[int]:
+        """:meth:`zero_weight_topo` for precomputed retimed weights.
+
+        ``weights`` is :meth:`retimed_weights`'s vector and
+        ``weight_list`` the same values as a list (the timing passes
+        already hold both).  A LIFO Kahn sort over the cached
+        :meth:`fanout`; successors are released in out-edge order.
+        """
         u, v, _ = self.edge_arrays()
         n = self.n_vertices
         mask = (weights == 0) & (u != 0) & (v != 0)
-        us = u[mask].tolist()
-        vs = v[mask].tolist()
         indegree = np.bincount(v[mask], minlength=n)
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for uu, vv in zip(us, vs):
-            succ[uu].append(vv)
-        stack = [x for x in range(1, n) if indegree[x] == 0]
+        stack = (np.flatnonzero(indegree[1:] == 0) + 1).tolist()
+        pending = indegree.tolist()
+        fanout = self.fanout()
         order: list[int] = []
         while stack:
             node = stack.pop()
             order.append(node)
-            for s in succ[node]:
-                indegree[s] -= 1
-                if indegree[s] == 0:
-                    stack.append(s)
+            for eidx, s in fanout[node]:
+                if s and not weight_list[eidx]:
+                    pending[s] -= 1
+                    if not pending[s]:
+                        stack.append(s)
         if len(order) != n - 1:
             # Slow path only to produce a helpful cycle message.
             preds: list[list[int]] = [[] for _ in range(n)]
-            for uu, vv in zip(us, vs):
+            for uu, vv in zip(u[mask].tolist(), v[mask].tolist()):
                 preds[vv].append(uu)
             try:
                 topological_order(range(1, n), lambda x: preds[x])

@@ -35,18 +35,18 @@ def arrival_times(graph: RetimingGraph,
     (index 0) is 0.  Raises :class:`~repro.errors.RetimingError` when the
     retiming leaves a register-free cycle.
     """
-    weights = graph.retimed_weights(r)
-    order = graph.zero_weight_topo(r)
-    delta = np.zeros(graph.n_vertices, dtype=float)
-    for v in order:
+    w_arr = graph.retimed_weights(r)
+    weights = w_arr.tolist()
+    fanin = graph.fanin()
+    delays = graph.delays
+    delta = [0.0] * graph.n_vertices
+    for v in graph.zero_weight_order(w_arr, weights):
         best = 0.0
-        for eidx in graph.in_edges[v]:
-            e = graph.edges[eidx]
-            if weights[eidx] == 0 and e.u != 0:
-                if delta[e.u] > best:
-                    best = delta[e.u]
-        delta[v] = graph.delays[v] + best
-    return delta
+        for eidx, u in fanin[v]:
+            if u and not weights[eidx] and delta[u] > best:
+                best = delta[u]
+        delta[v] = delays[v] + best
+    return np.array(delta, dtype=float)
 
 
 def achieved_period(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
@@ -135,47 +135,48 @@ def boundary_labels(graph: RetimingGraph, r: Sequence[int] | np.ndarray,
     initialization, where hold constrains register-to-register paths
     only; the paper's P2' keeps the default True).
     """
-    weights = graph.retimed_weights(r)
-    order = graph.zero_weight_topo(r)
+    w_arr = graph.retimed_weights(r)
+    weights = w_arr.tolist()
+    fanout = graph.fanout()
+    delays = graph.delays
+    isfinite = math.isfinite
     n = graph.n_vertices
-    L = np.full(n, math.inf)
-    R = np.full(n, -math.inf)
-    lt = np.full(n, -1, dtype=np.int64)
-    rt = np.full(n, -1, dtype=np.int64)
-    lsucc = np.full(n, -1, dtype=np.int64)
-    rsucc = np.full(n, -1, dtype=np.int64)
+    L = [math.inf] * n
+    R = [-math.inf] * n
+    lt = [-1] * n
+    rt = [-1] * n
+    lsucc = [-1] * n
+    rsucc = [-1] * n
     window_left = phi - setup
     window_right = phi + hold
 
-    for u in reversed(order):
-        for eidx in graph.out_edges[u]:
-            e = graph.edges[eidx]
-            if e.v == 0 or weights[eidx] > 0:
-                if window_left < L[u]:
-                    L[u] = window_left
-                    lt[u] = u
-                    lsucc[u] = -1
-                if weights[eidx] > 0 or hold_at_outputs:
-                    if window_right > R[u]:
-                        R[u] = window_right
-                        rt[u] = u
-                        rsucc[u] = -1
+    for u in reversed(graph.zero_weight_order(w_arr, weights)):
+        L_u, R_u = math.inf, -math.inf
+        lt_u = rt_u = lsucc_u = rsucc_u = -1
+        for eidx, v in fanout[u]:
+            weight = weights[eidx]
+            if v == 0 or weight > 0:
+                if window_left < L_u:
+                    L_u, lt_u, lsucc_u = window_left, u, -1
+                if (weight > 0 or hold_at_outputs) and window_right > R_u:
+                    R_u, rt_u, rsucc_u = window_right, u, -1
             else:
-                v = e.v
-                if not math.isfinite(L[v]):
+                if not isfinite(L[v]):
                     continue  # fanout itself unobservable
-                left = L[v] - graph.delays[v]
-                right = R[v] - graph.delays[v]
-                if left < L[u]:
-                    L[u] = left
-                    lt[u] = lt[v]
-                    lsucc[u] = v
-                if right > R[u]:
-                    R[u] = right
-                    rt[u] = rt[v]
-                    rsucc[u] = v
-    return BoundaryLabels(L=L, R=R, lt=lt, rt=rt, lsucc=lsucc, rsucc=rsucc,
-                          phi=phi, setup=setup, hold=hold)
+                left = L[v] - delays[v]
+                right = R[v] - delays[v]
+                if left < L_u:
+                    L_u, lt_u, lsucc_u = left, lt[v], v
+                if right > R_u:
+                    R_u, rt_u, rsucc_u = right, rt[v], v
+        L[u], R[u] = L_u, R_u
+        lt[u], rt[u], lsucc[u], rsucc[u] = lt_u, rt_u, lsucc_u, rsucc_u
+    return BoundaryLabels(
+        L=np.array(L, dtype=float), R=np.array(R, dtype=float),
+        lt=np.array(lt, dtype=np.int64), rt=np.array(rt, dtype=np.int64),
+        lsucc=np.array(lsucc, dtype=np.int64),
+        rsucc=np.array(rsucc, dtype=np.int64),
+        phi=phi, setup=setup, hold=hold)
 
 
 def shortest_path_through(graph: RetimingGraph, labels: BoundaryLabels,

@@ -116,3 +116,29 @@ class TestTracingOffIdentity:
         assert plain.iterations == traced.iterations
         assert plain.commits == traced.commits
         assert (plain.r == traced.r).all()
+
+
+class TestForestCacheCounters:
+    def test_solve_span_and_registry_count_forest_trees(self, tmp_path):
+        from repro.telemetry import REGISTRY
+
+        def totals():
+            metrics = REGISTRY.snapshot()["metrics"]
+            return tuple(
+                metrics.get(f"solver.forest.{name}", {}).get("value", 0)
+                for name in ("trees_evaluated", "trees_cached"))
+
+        before = totals()
+        _, _, result, records = traced_solve(tmp_path, CIRCUITS[1])
+        after = totals()
+        (solve,) = [r for r in records if r["type"] == "span"
+                    and r["name"] == "solve"]
+        evaluated = solve["attrs"]["trees_evaluated"]
+        cached = solve["attrs"]["trees_cached"]
+        # Constraints were recorded, so some tree needed the DP; a
+        # diagnose iteration leaves most trees clean, so some were reused.
+        assert result.constraints_added > 0
+        assert evaluated > 0 and cached > 0
+        # One increment per solve, equal to the span's totals.
+        assert (after[0] - before[0], after[1] - before[1]) == \
+            (evaluated, cached)
