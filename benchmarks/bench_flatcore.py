@@ -1,8 +1,10 @@
 """Flat core vs object core: analysis wall-clock and peak RSS.
 
-Every measured point runs in a fresh child interpreter (peak RSS is
-process-monotonic, so attribution needs isolation) and reports, per
-scalable corpus family at ~10^3 / 10^4 / 10^5 gates and per core:
+The flat core is the production analysis path; the object core is the
+per-gate reference in ``tests/object_core.py``.  Every measured point
+runs in a fresh child interpreter (peak RSS is process-monotonic, so
+attribution needs isolation) and reports, per scalable corpus family
+at ~10^3 / 10^4 / 10^5 gates and per core:
 
 * ``lower_s`` -- the one-time ``Circuit -> FlatCircuit`` lowering
   (object core: ~0).  Timed as its own line item because every stage
@@ -61,9 +63,10 @@ import hashlib, json, resource, sys, time
 
 from repro.core.elw import circuit_elws
 from repro.corpus.families import CircuitSpec, build_circuit
-from repro.flatcore import core_mode, flat_for
-from repro.ser.analysis import analyze_ser, extend_obs_to_registers
+from repro.flatcore import flat_for
+from repro.ser.analysis import analyze_ser
 from repro.sim.odc import observability
+from tests import object_core
 
 family, params, core, frames, patterns = (
     sys.argv[1], json.loads(sys.argv[2]), sys.argv[3],
@@ -74,17 +77,21 @@ phi = 8.0
 setup = circuit.library.setup_time
 hold = circuit.library.hold_time
 
-with core_mode(core):
-    tl = time.perf_counter()
-    flat = flat_for(circuit)  # one-time lowering, its own line item
-    t0 = time.perf_counter()
-    obs = observability(circuit, n_frames=frames, n_patterns=patterns,
-                        seed=0)
-    t1 = time.perf_counter()
-    elws = circuit_elws(circuit, phi, setup, hold)
-    t2 = time.perf_counter()
-    ser = analyze_ser(circuit, phi, setup, hold, obs=obs.obs, elws=elws)
-    t3 = time.perf_counter()
+if core == "object":
+    observability = object_core.observability
+    circuit_elws = object_core.circuit_elws
+    analyze_ser = object_core.analyze_ser
+
+tl = time.perf_counter()
+# one-time lowering, its own line item
+flat = flat_for(circuit) if core == "flat" else None
+t0 = time.perf_counter()
+obs = observability(circuit, n_frames=frames, n_patterns=patterns, seed=0)
+t1 = time.perf_counter()
+elws = circuit_elws(circuit, phi, setup, hold)
+t2 = time.perf_counter()
+ser = analyze_ser(circuit, phi, setup, hold, obs=obs.obs, elws=elws)
+t3 = time.perf_counter()
 
 digest = hashlib.sha256()
 for net, value in obs.obs.items():
@@ -115,11 +122,11 @@ MIN_SIMD_WIDTH = 16
 
 
 def _measure(family: str, n: int, core: str) -> dict:
-    src_root = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
-    env["PYTHONPATH"] = src_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(repo_root, "src"), repo_root]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, family,
          json.dumps(_shape(family, n)), core, str(FRAMES), str(PATTERNS)],

@@ -105,44 +105,11 @@ def circuit_elws(circuit: Circuit, phi: float, setup: float = 0.0,
 
 def _circuit_elws_impl(circuit: Circuit, phi: float, setup: float,
                        hold: float) -> dict[str, IntervalSet]:
-    window = latching_window(phi, setup, hold)
+    from ..flatcore.engine import flat_for
+    from ..flatcore.kernels import circuit_elws_flat
 
-    from ..flatcore import engine as flat_engine
-
-    flat = flat_engine.flat_for(circuit)
-    if flat is not None:
-        from ..flatcore.kernels import circuit_elws_flat
-
-        return circuit_elws_flat(flat, window)
-
-    po_nets = set(circuit.outputs)
-
-    # Readers per net.
-    gate_readers: dict[str, list[str]] = {n: [] for n in circuit.nets}
-    dff_read: dict[str, bool] = {n: False for n in circuit.nets}
-    for gate in circuit.gates.values():
-        for net in set(gate.inputs):
-            gate_readers[net].append(gate.name)
-    for dff in circuit.dffs.values():
-        dff_read[dff.d] = True
-
-    elws: dict[str, IntervalSet] = {}
-
-    def net_elw(net: str) -> IntervalSet:
-        parts: list[IntervalSet] = []
-        if net in po_nets or dff_read[net]:
-            parts.append(window)
-        for reader in gate_readers[net]:
-            parts.append(elws[reader] - circuit.gate_delay(reader))
-        if not parts:
-            return IntervalSet.empty()
-        return parts[0].union(*parts[1:])
-
-    for gate_name in reversed(circuit.topo_gates()):
-        elws[gate_name] = net_elw(gate_name)
-    for net in list(circuit.inputs) + list(circuit.dffs):
-        elws[net] = net_elw(net)
-    return elws
+    return circuit_elws_flat(flat_for(circuit),
+                             latching_window(phi, setup, hold))
 
 
 def _reader_maps(circuit: Circuit) -> tuple[set, dict, dict]:

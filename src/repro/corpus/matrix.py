@@ -125,12 +125,11 @@ def scenario_config(tier: str, scenario: Scenario,
                     workers: int = 1, cache: bool = False,
                     cache_dir: str | None = None,
                     max_retries: int = 1,
-                    trace_path: str | None = None,
-                    core: str = "auto") -> SuiteConfig:
+                    trace_path: str | None = None) -> SuiteConfig:
     """The :class:`SuiteConfig` executing one scenario over a tier.
 
     Guard knobs follow the golden-test sizing; resilience and execution
-    knobs (workers, cache, retries, core) stay out of the fingerprint,
+    knobs (workers, cache, retries) stay out of the fingerprint,
     so one scenario manifest resumes across any of them.
     """
     names = circuits if circuits is not None else \
@@ -147,7 +146,7 @@ def scenario_config(tier: str, scenario: Scenario,
         max_retries=max_retries,
         guard=True, guard_cycles=8, guard_patterns=32,
         workers=workers, cache=cache, cache_dir=cache_dir,
-        trace_path=trace_path, core=core)
+        trace_path=trace_path)
 
 
 def cell_digest(record: dict[str, Any]) -> str:
@@ -217,7 +216,7 @@ def run_matrix(tier: str,
                cache_dir: str | None = None, max_retries: int = 1,
                trace_path: str | None = None,
                progress: Callable[[str], None] | None = None,
-               core: str = "auto") -> MatrixResult:
+               ) -> MatrixResult:
     """Execute the scenario matrix for a tier.
 
     Parameters
@@ -232,11 +231,9 @@ def run_matrix(tier: str,
         Optional subsets; defaults are the tier's full scenario list
         and circuit roster.  Unknown names raise
         :class:`~repro.errors.NetlistError`.
-    workers / cache / cache_dir / max_retries / trace_path / core:
+    workers / cache / cache_dir / max_retries / trace_path:
         Passed through to the suite layer -- execution knobs only,
-        digests are invariant to all of them (``core`` selects the
-        flat or object analysis engine; ``tests/flatcore`` proves the
-        golden digests identical under both).
+        digests are invariant to all of them.
     """
     chosen = scenarios if scenarios is not None else \
         TIER_SCENARIOS.get(tier)
@@ -275,7 +272,7 @@ def run_matrix(tier: str,
                                  workers=workers, cache=cache,
                                  cache_dir=cache_dir,
                                  max_retries=max_retries,
-                                 trace_path=scenario_trace, core=core)
+                                 trace_path=scenario_trace)
         manifest_path = None
         if out_dir is not None:
             manifest_path = scenario_manifest_path(out_dir, tier,

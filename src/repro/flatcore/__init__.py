@@ -1,13 +1,14 @@
 """Flat CSR netlist core with vectorized analysis kernels.
 
-See ``docs/flatcore.md`` for the arena layout, the level-sweep kernel
-contract and the engine-selection flag (``--core flat|object|auto``).
+The flat core is the only production analysis engine.  See
+``docs/flatcore.md`` for the arena layout, the level-sweep kernel
+contract and the test-only reference core the kernels are held
+bit-identical to.
 """
 
 from .arena import (DIGEST_TAG, OP_CODES, FlatCircuit, GatePlan, LevelPlan,
                     lower, validate_flat)
-from .engine import (MODES, core_mode, current_mode, flat_for,
-                     set_core_mode)
+from .engine import flat_for
 from .kernels import (circuit_elws_flat, observability_flat,
                       record_frames_flat, ser_totals_flat,
                       simulate_comb_flat)
@@ -15,7 +16,7 @@ from .kernels import (circuit_elws_flat, observability_flat,
 __all__ = [
     "DIGEST_TAG", "OP_CODES", "FlatCircuit", "GatePlan", "LevelPlan",
     "lower", "validate_flat",
-    "MODES", "core_mode", "current_mode", "flat_for", "set_core_mode",
+    "flat_for",
     "circuit_elws_flat", "observability_flat", "record_frames_flat",
     "ser_totals_flat", "simulate_comb_flat",
 ]

@@ -168,9 +168,8 @@ def lower(circuit: Circuit) -> FlatCircuit:
     Raises :class:`~repro.errors.FlatCoreError` when the circuit cannot
     be represented (a gate or register reads an undefined net).  A
     combinational cycle raises
-    :class:`~repro.errors.CombinationalCycleError` exactly as the object
-    engines would -- that is a property of the circuit, not of the
-    lowering, so it is *not* an object-core fallback case.
+    :class:`~repro.errors.CombinationalCycleError` -- a property of the
+    circuit, not of the lowering.
     """
     from ..cache import timing_digest
 

@@ -1,89 +1,30 @@
-"""Engine selection: flat kernels vs. the object core.
+"""The memoized flat arena behind every analysis stage.
 
-The active mode is a process-global, mirroring the analysis-cache
-activation pattern (:mod:`repro.cache.store`):
-
-* ``"flat"``   -- always lower; a lowering failure raises;
-* ``"object"`` -- never lower (the original per-gate Python engines);
-* ``"auto"``   -- the default: lower when possible, fall back to the
-  object core (with a one-time warning per circuit) when lowering
-  raises :class:`~repro.errors.FlatCoreError`.
-
-The mode deliberately never enters any cache key: the two cores are
-bit-identical (the differential suite enforces it), so a flat result
-must hit -- and be hit by -- the same cached entries as an object one.
-Dispatch therefore happens *inside* the ``cached()``-wrapped analysis
-impls, beneath the key computation.
+Each analysis stage (simulation, observability, ELW, SER) runs on the
+circuit's :class:`~repro.flatcore.arena.FlatCircuit`, lowered once per
+circuit structure.  Nothing here enters a cache key: the arena is a
+pure function of the circuit, so a cached analysis result is keyed by
+the circuit alone.
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
-
-from ..errors import FlatCoreError
 from ..netlist.circuit import Circuit
 from .arena import FlatCircuit, lower
 
-#: Recognized engine modes (CLI ``--core`` choices).
-MODES = ("flat", "object", "auto")
 
-_MODE = "auto"
+def flat_for(circuit: Circuit) -> FlatCircuit:
+    """The memoized arena of ``circuit``.
 
-
-def current_mode() -> str:
-    """The active engine mode."""
-    return _MODE
-
-
-def set_core_mode(mode: str) -> str:
-    """Set the engine mode; returns the previous one."""
-    global _MODE
-    if mode not in MODES:
-        raise FlatCoreError(
-            f"unknown core mode {mode!r}; choose from {MODES}")
-    previous = _MODE
-    _MODE = mode
-    return previous
-
-
-@contextmanager
-def core_mode(mode: str):
-    """Scoped engine mode (restores the previous mode on exit)."""
-    previous = set_core_mode(mode)
-    try:
-        yield
-    finally:
-        set_core_mode(previous)
-
-
-def flat_for(circuit: Circuit) -> FlatCircuit | None:
-    """The memoized arena of ``circuit``, or ``None`` for the object core.
-
-    Lowering results (including failures, in ``auto`` mode) are cached
-    on the circuit and invalidated by any structural mutation.  A
-    :class:`~repro.errors.CombinationalCycleError` propagates -- the
-    object core raises it for the same circuit, so it is not a fallback
-    case.
+    The arena is cached on the circuit and invalidated by any
+    structural mutation.  A lowering failure raises
+    :class:`~repro.errors.FlatCoreError` (and is retried on the next
+    call); a :class:`~repro.errors.CombinationalCycleError` propagates.
     """
-    mode = _MODE
-    if mode == "object":
-        return None
-    flat = getattr(circuit, "_flat_cache", None)
-    if flat is not None:
-        return flat
-    if mode == "auto" and getattr(circuit, "_flat_failed", False):
-        return None
-    try:
+    flat = circuit._flat_cache
+    if flat is None:
+        # Module-level lookup at call time, so wrappers of ``lower``
+        # (profilers, tests) see every lowering.
         flat = lower(circuit)
-    except FlatCoreError as exc:
-        if mode == "flat":
-            raise
-        circuit._flat_failed = True
-        warnings.warn(
-            f"flatcore lowering of circuit {circuit.name!r} failed "
-            f"({exc}); falling back to the object core", RuntimeWarning,
-            stacklevel=2)
-        return None
-    circuit._flat_cache = flat
+        circuit._flat_cache = flat
     return flat

@@ -1,10 +1,12 @@
 """Vectorized analysis kernels over a :class:`~repro.flatcore.arena.FlatCircuit`.
 
-Each kernel is a drop-in replacement for one object-core stage and is
-held to a *bit-identity* contract: given the same inputs it produces
-exactly the values (and, where relevant, the same dict orders) the
-object engines produce -- the differential suite in ``tests/flatcore``
-pins this on the whole committed corpus.  The bit-identity rules:
+These kernels are the production analysis stages.  Each one is held to
+a *bit-identity* contract with the per-gate *object core* it replaced
+(kept as a test-only reference in ``tests/object_core.py``): given the
+same inputs it produces exactly the values (and, where relevant, the
+same dict orders) the object walks produce -- the differential suite
+in ``tests/flatcore`` pins this on the whole committed corpus.  The
+bit-identity rules:
 
 * packed-signature logic is pure ``uint64`` bitwise algebra, which is
   exact and associative, so grouped evaluation order is free;
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.intervals import IntervalSet
-from ..errors import FlatCoreError, SimulationError
+from ..errors import AnalysisError, FlatCoreError, SimulationError
 from ..netlist.cell_library import SUPPORTED_OPS
 from ..sim.bitvec import _tail_mask, n_words, popcount
 from .arena import FlatCircuit
@@ -298,8 +300,8 @@ def observability_flat(flat: FlatCircuit,
     """Vectorized backward ODC sweep over recorded frame matrices.
 
     ``frames`` holds one ``[n_nodes, words]`` value matrix per cycle
-    (:func:`record_frames_flat`).  Mirrors
-    ``repro.sim.odc._observability_impl`` bit for bit: per frame,
+    (:func:`record_frames_flat`).  Mirrors the object core's backward
+    ODC walk bit for bit: per frame,
     per-edge sensitization masks are evaluated in grouped numpy
     expressions, base masks seed primary outputs (and, on the final
     frame, register reads), and a reverse level sweep OR-scatters
@@ -384,9 +386,9 @@ def _elw_readers(flat: FlatCircuit) -> list[list[tuple[int, float]]]:
 
 def circuit_elws_flat(flat: FlatCircuit,
                       window: IntervalSet) -> dict[str, IntervalSet]:
-    """Flat replacement for ``repro.core.elw._circuit_elws_impl``.
+    """Exact ELW of every net (eq. 3), in the object core's net order.
 
-    Walks nets in the same reverse-topological order, but builds each
+    Walks nets in reverse-topological order, but builds each
     net's ELW with a *single* :class:`IntervalSet` construction from raw
     shifted endpoint pairs -- sound because interval-union normalization
     is confluent: pre-merging any subset (what the object core's
@@ -421,14 +423,18 @@ def circuit_elws_flat(flat: FlatCircuit,
 def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
                     elws: Mapping[str, IntervalSet], model_name: str,
                     unit: float, base_reg_err: float, phi: float,
+                    derate: Mapping[str, float] | None = None,
                     ) -> tuple[dict[str, float], float, float, float]:
     """Vectorized eq. (4) aggregation.
 
-    Returns ``(per_element, comb, reg, no_timing)`` exactly as the
-    object loop in ``repro.ser.analysis._analyze_ser_impl`` computes
-    them: per-element products are elementwise float64 (bit-identical
-    to Python scalar arithmetic), the running sums accumulate
-    sequentially in declaration order.
+    Returns ``(per_element, comb, reg, no_timing)``: per-element values
+    ``obs * err * (|ELW| / phi)`` with ``err = (rate * unit) * derate``
+    (``derate``, the optional per-net electrical derating, multiplies in
+    after the raw rate), computed as elementwise float64 products
+    (bit-identical to Python scalar arithmetic in the same order); the
+    running sums accumulate sequentially in declaration order, gates
+    first, then registers.  An unknown ``model_name`` raises
+    :class:`~repro.errors.AnalysisError`.
     """
     n_inputs, n_gates = flat.n_inputs, flat.n_gates
     gate_names = flat.names[n_inputs:n_inputs + n_gates]
@@ -441,8 +447,13 @@ def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
     elif model_name == "area":
         err = (flat.arity + 1.0) * unit
     else:
-        raise FlatCoreError(f"no flat evaluator for rate model "
-                            f"{model_name!r}")
+        raise AnalysisError(f"unknown rate model {model_name!r}")
+    dff_err = np.full(len(dff_names), base_reg_err, dtype=np.float64)
+    if derate is not None:
+        err = err * np.array([derate[name] for name in gate_names],
+                             dtype=np.float64)
+        dff_err = dff_err * np.array([derate[name] for name in dff_names],
+                                     dtype=np.float64)
     obs_arr = np.array([obs_full[name] for name in gate_names],
                        dtype=np.float64)
     meas = np.array([elws[name].measure for name in gate_names],
@@ -463,8 +474,8 @@ def ser_totals_flat(flat: FlatCircuit, obs_full: Mapping[str, float],
                        dtype=np.float64)
     dff_meas = np.array([elws[name].measure for name in dff_names],
                         dtype=np.float64)
-    dff_values = dff_obs * base_reg_err * (dff_meas / phi)
-    dff_no_timing = dff_obs * base_reg_err
+    dff_values = dff_obs * dff_err * (dff_meas / phi)
+    dff_no_timing = dff_obs * dff_err
     for name, value in zip(dff_names, dff_values.tolist()):
         per_element[name] = value
         reg += value

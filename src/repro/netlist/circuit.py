@@ -97,7 +97,6 @@ class Circuit:
         self._fanout_cache: dict[str, list[str]] | None = None
         # Lowered flat-core arena (repro.flatcore), memoized per structure.
         self._flat_cache: object | None = None
-        self._flat_failed: bool = False
 
     # ------------------------------------------------------------------
     # Construction
@@ -143,7 +142,6 @@ class Circuit:
         self._topo_cache = None
         self._fanout_cache = None
         self._flat_cache = None
-        self._flat_failed = False
 
     # ------------------------------------------------------------------
     # Structure queries

@@ -296,14 +296,6 @@ class SuiteConfig:
     #: enter the fingerprint.  Parallel workers trace to
     #: ``<trace_path>.shard-NN.jsonl`` files which the parent merges.
     trace_path: str | None = None
-    #: Analysis engine: ``"flat"`` (CSR arena + vectorized kernels),
-    #: ``"object"`` (the per-gate dict/object engines) or ``"auto"``
-    #: (flat with object fallback).  An execution knob like ``workers``:
-    #: the two cores are bit-identical (``tests/flatcore`` proves
-    #: checksum parity), so the mode never enters the fingerprint or
-    #: any cache key.  Parallel workers inherit it through the pickled
-    #: config.
-    core: str = "auto"
 
     def fingerprint(self) -> dict[str, Any]:
         """The result-determining configuration, for manifest matching."""
@@ -429,10 +421,7 @@ def optimize_resilient(circuit: Circuit, config: SuiteConfig) -> CircuitRun:
     degradations applied spelled out in ``row["status"]`` and every
     captured failure in ``CircuitRun.failures``.
     """
-    from ..flatcore import core_mode
-
-    with telemetry.span("circuit", circuit=circuit.name,
-                        core=config.core), core_mode(config.core):
+    with telemetry.span("circuit", circuit=circuit.name):
         run = _optimize_resilient(circuit, config)
         telemetry.add_attrs(status=run.status)
         return run

@@ -195,44 +195,12 @@ def _analyze_ser_impl(circuit: Circuit, phi: float, setup: float,
         derate = electrical_derating(circuit, tau=electrical_tau,
                                      latch_width=latch_width)
 
-    if derate is None and rate_model.name in ("library", "uniform", "area"):
-        from ..flatcore import engine as flat_engine
+    from ..flatcore.engine import flat_for
+    from ..flatcore.kernels import ser_totals_flat
 
-        flat = flat_engine.flat_for(circuit)
-        if flat is not None:
-            from ..flatcore.kernels import ser_totals_flat
-
-            per_element, comb, reg, no_timing = ser_totals_flat(
-                flat, obs_full, elws, rate_model.name, rate_model.unit,
-                rate_model.register_rate(circuit), phi)
-            return SerAnalysis(total=comb + reg, comb=comb, reg=reg,
-                               total_no_timing=no_timing,
-                               per_element=per_element,
-                               phi=phi, setup=setup, hold=hold)
-
-    per_element: dict[str, float] = {}
-    comb = reg = 0.0
-    no_timing = 0.0
-    for name in circuit.gates:
-        err = rate_model.gate_rate(circuit, name)
-        if derate is not None:
-            err *= derate[name]
-        window = elws[name].measure / phi
-        value = obs_full[name] * err * window
-        per_element[name] = value
-        comb += value
-        no_timing += obs_full[name] * err
-    base_reg_err = rate_model.register_rate(circuit)
-    for name in circuit.dffs:
-        reg_err = base_reg_err
-        if derate is not None:
-            reg_err *= derate[name]
-        window = elws[name].measure / phi
-        value = obs_full[name] * reg_err * window
-        per_element[name] = value
-        reg += value
-        no_timing += obs_full[name] * reg_err
-
+    per_element, comb, reg, no_timing = ser_totals_flat(
+        flat_for(circuit), obs_full, elws, rate_model.name, rate_model.unit,
+        rate_model.register_rate(circuit), phi, derate)
     return SerAnalysis(total=comb + reg, comb=comb, reg=reg,
                        total_no_timing=no_timing, per_element=per_element,
                        phi=phi, setup=setup, hold=hold)

@@ -48,10 +48,7 @@ MAX_TENANTS = 1024
 #: Request fields accepted by ``POST /jobs``.
 _ALLOWED_FIELDS = ("circuit", "netlist", "name", "tenant", "scale", "seed",
                    "frames", "patterns", "epsilon", "algorithms",
-                   "maximal_start", "restart", "core")
-
-#: Analysis-engine choices a job spec may request (digest-invariant).
-_CORES = ("flat", "object", "auto")
+                   "maximal_start", "restart")
 
 _ALGORITHMS = ("minobs", "minobswin")
 
@@ -216,12 +213,6 @@ def validate_payload(payload: Any) -> dict[str, Any]:
             if not isinstance(payload[flag], bool):
                 raise _reject(f"{flag!r} must be a boolean", field=flag)
             spec[flag] = payload[flag]
-    if "core" in payload:
-        core = payload["core"]
-        if not isinstance(core, str) or core not in _CORES:
-            raise _reject(f"'core' must be one of {list(_CORES)}",
-                          field="core")
-        spec["core"] = core
     return spec
 
 

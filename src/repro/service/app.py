@@ -91,9 +91,6 @@ class ServiceConfig:
     deadline: float | None = None
     max_retries: int = 1
     retry_backoff: float = 0.0
-    #: Analysis engine jobs inherit (``flat``/``object``/``auto``);
-    #: digest-invariant, so it never shows up in job results.
-    core: str = "auto"
     #: Shared analysis cache (memory + ``<root>/cache`` disk tier).
     cache: bool = True
     #: Exit 0 once the queue has been idle for ``idle_grace`` seconds
@@ -131,8 +128,7 @@ class RetimingService:
         self.defaults = ExecutionDefaults(
             scale=config.scale, deadline=config.deadline,
             max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff,
-            core=config.core)
+            retry_backoff=config.retry_backoff)
         limits = SandboxLimits(memory_mb=config.worker_memory_mb,
                                cpu_seconds=config.worker_cpu_seconds,
                                wall_seconds=config.worker_wall_seconds)

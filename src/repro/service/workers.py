@@ -70,9 +70,6 @@ class ExecutionDefaults:
     deadline: float | None = None
     max_retries: int = 1
     retry_backoff: float = 0.0
-    #: Analysis engine (``flat``/``object``/``auto``) -- an execution
-    #: knob: result digests are core-invariant (``tests/flatcore``).
-    core: str = "auto"
 
 
 def build_circuit(spec: dict[str, Any],
@@ -109,8 +106,7 @@ def execute_job(spec: dict[str, Any],
         maximal_start=bool(spec.get("maximal_start", False)),
         restart=bool(spec.get("restart", True)),
         deadline=defaults.deadline, max_retries=defaults.max_retries,
-        retry_backoff=defaults.retry_backoff,
-        core=str(spec.get("core", defaults.core)))
+        retry_backoff=defaults.retry_backoff)
     run = optimize_resilient(circuit, config)
     record = run.to_record().to_dict()
     return {"name": name, "status": run.status, "record": record,

@@ -1,8 +1,9 @@
 """Bit-parallel combinational simulation.
 
-Evaluates the gates of a circuit in topological order on packed
-signatures.  The word-level gate semantics are tested against the scalar
-reference semantics in :func:`repro.netlist.cell_library.evaluate_op`.
+:func:`simulate_comb` evaluates a circuit on packed signatures with the
+flat level-sweep kernel (:mod:`repro.flatcore`); :func:`eval_gate` is
+the one-gate word-level evaluator, tested against the scalar reference
+semantics in :func:`repro.netlist.cell_library.evaluate_op`.
 """
 
 from __future__ import annotations
@@ -24,17 +25,16 @@ def eval_gate(op: str, inputs: Sequence[np.ndarray],
 
     Contract: the returned array is always *fresh* -- it never aliases
     any entry of ``inputs`` (nor any other live signature).  Callers
-    rely on this to mutate the result in place: :func:`simulate_comb`
-    runs :func:`repro.sim.bitvec.trim` on it, which would silently
-    corrupt a shared input signature if the result were an alias.  The
+    rely on this to mutate the result in place: running
+    :func:`repro.sim.bitvec.trim` on it would silently corrupt a shared
+    input signature if the result were an alias.  The
     one-input degenerate forms (a single-input AND/OR/XOR is a BUF, a
     single-input NAND/NOR/XNOR a NOT) therefore copy before returning,
     and the contract is pinned by
     ``tests/sim/test_eval_gate_property.py``.
 
     Padding bits may become 1 for inverting ops; callers that count ones
-    must mask with :func:`repro.sim.bitvec.trim` -- the simulator below
-    does this once per gate.
+    must mask with :func:`repro.sim.bitvec.trim`.
     """
     if op == "CONST0":
         return all_zeros(n_patterns)
@@ -93,36 +93,7 @@ def simulate_comb(circuit: Circuit, values: Mapping[str, np.ndarray],
     dict
         Signature for every net (inputs and flip-flop outputs included).
     """
-    from ..flatcore import engine as flat_engine
+    from ..flatcore.engine import flat_for
+    from ..flatcore.kernels import simulate_comb_flat
 
-    flat = flat_engine.flat_for(circuit)
-    if flat is not None:
-        from ..flatcore.kernels import simulate_comb_flat
-
-        return simulate_comb_flat(flat, values, n_patterns, force)
-
-    from .bitvec import trim
-
-    result: dict[str, np.ndarray] = {}
-    for net in circuit.inputs:
-        if net not in values:
-            raise SimulationError(f"missing value for primary input {net!r}")
-        result[net] = values[net]
-    for name in circuit.dffs:
-        if name not in values:
-            raise SimulationError(f"missing value for flip-flop {name!r}")
-        result[name] = values[name]
-    if force:
-        for net, sig in force.items():
-            if net in result:
-                result[net] = sig
-
-    for gate_name in circuit.topo_gates():
-        if force and gate_name in force:
-            result[gate_name] = force[gate_name]
-            continue
-        gate = circuit.gates[gate_name]
-        ins = [result[n] for n in gate.inputs]
-        sig = eval_gate(gate.op, ins, n_patterns)
-        result[gate_name] = trim(sig, n_patterns)
-    return result
+    return simulate_comb_flat(flat_for(circuit), values, n_patterns, force)

@@ -34,8 +34,8 @@ from ..errors import AnalysisError
 from ..faultplane.hooks import fault_point
 from ..netlist.circuit import Circuit
 from ..telemetry import spans as telemetry
-from .bitvec import all_ones, all_zeros, fraction_of_ones, random_patterns, trim
-from .logicsim import eval_gate, simulate_comb
+from .bitvec import all_zeros, fraction_of_ones, random_patterns, trim
+from .logicsim import simulate_comb
 from .sequential import SequentialSimulator, reset_state
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -95,22 +95,6 @@ def _record_frames(circuit: Circuit, n_frames: int, n_patterns: int,
         pi_trace.append(pis)
         frames.append(sim.step(pis))
     return frames, sim, pi_trace, start_state
-
-
-def _input_sensitization(circuit: Circuit, gate_name: str, net: str,
-                         frame: dict[str, np.ndarray],
-                         n_patterns: int) -> np.ndarray:
-    """Mask of patterns where flipping input ``net`` flips the gate output.
-
-    Exact per-gate: evaluates the gate with ``net`` complemented on every
-    port it drives (a net feeding two ports of an XOR correctly cancels).
-    """
-    gate = circuit.gates[gate_name]
-    normal = frame[gate_name]
-    flipped_in = [frame[i] ^ _ONES if i == net else frame[i]
-                  for i in gate.inputs]
-    flipped = trim(eval_gate(gate.op, flipped_in, n_patterns), n_patterns)
-    return normal ^ flipped
 
 
 def _encode_obs_result(result: ObservabilityResult) -> dict:
@@ -181,69 +165,15 @@ def _observability_impl(circuit: Circuit, n_frames: int, n_patterns: int,
     if warmup is None:
         warmup = n_frames
 
-    from ..flatcore import engine as flat_engine
+    from ..flatcore.engine import flat_for
+    from ..flatcore.kernels import observability_flat, record_frames_flat
 
-    flat = flat_engine.flat_for(circuit)
-    if flat is not None:
-        from ..flatcore.kernels import observability_flat, record_frames_flat
-
-        # The flat path records its frames matrix-natively (same RNG
-        # stream, bit-identical values) -- per-net frame dicts never
-        # materialize.
-        flat_frames = record_frames_flat(flat, n_frames, n_patterns,
-                                         warmup, rng)
-        obs, kept = observability_flat(flat, flat_frames, n_frames,
-                                       n_patterns, keep_masks)
-        return ObservabilityResult(obs=obs, n_patterns=n_patterns,
-                                   n_frames=n_frames, method="backward",
-                                   masks=kept)
-
-    frames, _, _, _ = _record_frames(circuit, n_frames, n_patterns, warmup, rng)
-
-    po_nets = set(circuit.outputs)
-    # Readers of each net: (kind, name) with kind 'gate' or 'dff'.
-    readers: dict[str, list[tuple[str, str]]] = {n: [] for n in circuit.nets}
-    for gate in circuit.gates.values():
-        for net in set(gate.inputs):
-            readers[net].append(("gate", gate.name))
-    for dff in circuit.dffs.values():
-        readers[dff.d].append(("dff", dff.name))
-
-    reverse_topo = list(reversed(circuit.topo_gates()))
-    sources = list(circuit.inputs) + list(circuit.dffs)
-
-    next_dff_masks: dict[str, np.ndarray] = {}
-    masks: dict[str, np.ndarray] = {}
-    for t in range(n_frames - 1, -1, -1):
-        frame = frames[t]
-        last = (t == n_frames - 1)
-        masks = {}
-
-        def net_mask(net: str) -> np.ndarray:
-            acc = all_ones(n_patterns) if net in po_nets \
-                else all_zeros(n_patterns)
-            for kind, name in readers[net]:
-                if kind == "gate":
-                    sens = _input_sensitization(circuit, name, net, frame,
-                                                n_patterns)
-                    acc = acc | (sens & masks[name])
-                else:  # register boundary
-                    if last:
-                        acc = acc | all_ones(n_patterns)
-                    else:
-                        acc = acc | next_dff_masks[name]
-            return acc
-
-        for gate_name in reverse_topo:
-            masks[gate_name] = net_mask(gate_name)
-        for net in sources:
-            masks[net] = net_mask(net)
-        next_dff_masks = {name: masks[name] for name in circuit.dffs}
-
-    obs = {net: fraction_of_ones(mask, n_patterns)
-           for net, mask in masks.items()}
-    kept = {net: trim(mask.copy(), n_patterns)
-            for net, mask in masks.items()} if keep_masks else None
+    # Frames are recorded matrix-natively (the RNG stream and values of
+    # _record_frames) -- per-net frame dicts never materialize.
+    flat = flat_for(circuit)
+    flat_frames = record_frames_flat(flat, n_frames, n_patterns, warmup, rng)
+    obs, kept = observability_flat(flat, flat_frames, n_frames, n_patterns,
+                                   keep_masks)
     return ObservabilityResult(obs=obs, n_patterns=n_patterns,
                                n_frames=n_frames, method="backward",
                                masks=kept)

@@ -1,19 +1,21 @@
-"""Flat core vs object core: the differential equivalence layer.
+"""Flat core vs the object reference core: the differential layer.
 
 The flat CSR core is only allowed to exist because every number it
-produces is *bit-identical* to the object core's -- same floats, same
+produces is *bit-identical* to the per-gate object core's (kept as a
+test-only reference in ``tests/object_core.py``) -- same floats, same
 interval endpoints, same dict iteration orders, and therefore the same
 ``result_checksum`` for every suite/matrix cell.  These tests are the
 contract: every committed small-tier circuit is lowered, validated
-against its source ``Circuit``, and run through all four ported stages
+against its source ``Circuit``, and run through all four stages
 (packed simulation, backward-ODC observability, ELW construction, SER
-aggregation) under both cores, comparing exact equality -- no
-tolerances anywhere.
+aggregation) by production and by the reference, comparing exact
+equality -- no tolerances anywhere.
 
 Tier-1 additionally checks ``result_checksum`` parity on the two-cell
-matrix subset (serial, two workers, cold and warm shared cache across
-cores); the full 36-cell sweep runs in the CI ``flatcore`` job under
-``REPRO_FLATCORE_FULL=1``.
+matrix subset: production (serial and two workers) against a serial
+run with the reference core installed, and both against the committed
+golden table.  The full 36-cell sweep runs in the CI ``flatcore`` job
+under ``REPRO_FLATCORE_FULL=1``.
 """
 
 import os
@@ -29,12 +31,13 @@ from repro.corpus import (
     tier_specs,
 )
 from repro.corpus.matrix import GOLDEN_BASENAME, compare_digest_tables
-from repro.flatcore import core_mode, lower, validate_flat
+from repro.flatcore import lower, validate_flat
 from repro.runtime.suite import clear_obs_cache
 from repro.ser.analysis import analyze_ser
 from repro.sim.bitvec import random_patterns
 from repro.sim.logicsim import simulate_comb
 from repro.sim.odc import observability
+from tests import object_core
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
     os.path.dirname(os.path.abspath(__file__))))
@@ -125,10 +128,8 @@ class TestRecorderRngContract:
 class TestStageEquality:
     def test_simulation_bit_equal(self, circuit):
         values = input_values(circuit, PATTERNS)
-        with core_mode("object"):
-            ref = simulate_comb(circuit, values, PATTERNS)
-        with core_mode("flat"):
-            out = simulate_comb(circuit, values, PATTERNS)
+        ref = object_core.simulate_comb(circuit, values, PATTERNS)
+        out = simulate_comb(circuit, values, PATTERNS)
         assert list(ref) == list(out)
         for net in ref:
             assert np.array_equal(ref[net], out[net]), net
@@ -140,23 +141,19 @@ class TestStageEquality:
         forced = {circuit.inputs[0]: random_patterns(PATTERNS, rng),
                   next(iter(circuit.gates)): random_patterns(PATTERNS,
                                                              rng)}
-        with core_mode("object"):
-            ref = simulate_comb(circuit, values, PATTERNS, force=forced)
-        with core_mode("flat"):
-            out = simulate_comb(circuit, values, PATTERNS, force=forced)
+        ref = object_core.simulate_comb(circuit, values, PATTERNS,
+                                        force=forced)
+        out = simulate_comb(circuit, values, PATTERNS, force=forced)
         assert list(ref) == list(out)
         for net in ref:
             assert np.array_equal(ref[net], out[net]), net
 
     def test_observability_bit_equal(self, circuit):
-        with core_mode("object"):
-            ref = observability(circuit, n_frames=FRAMES,
-                                n_patterns=PATTERNS, seed=SEED,
-                                keep_masks=True)
-        with core_mode("flat"):
-            out = observability(circuit, n_frames=FRAMES,
-                                n_patterns=PATTERNS, seed=SEED,
-                                keep_masks=True)
+        ref = object_core.observability(circuit, n_frames=FRAMES,
+                                        n_patterns=PATTERNS, seed=SEED,
+                                        keep_masks=True)
+        out = observability(circuit, n_frames=FRAMES, n_patterns=PATTERNS,
+                            seed=SEED, keep_masks=True)
         # dict *order* matters: it feeds digests downstream
         assert list(ref.obs) == list(out.obs)
         for net in ref.obs:
@@ -168,25 +165,20 @@ class TestStageEquality:
     def test_elws_bit_equal(self, circuit):
         setup = circuit.library.setup_time
         hold = circuit.library.hold_time
-        with core_mode("object"):
-            ref = circuit_elws(circuit, PHI, setup, hold)
-        with core_mode("flat"):
-            out = circuit_elws(circuit, PHI, setup, hold)
+        ref = object_core.circuit_elws(circuit, PHI, setup, hold)
+        out = circuit_elws(circuit, PHI, setup, hold)
         assert list(ref) == list(out)
         for net in ref:
             assert ref[net].intervals == out[net].intervals, net
 
-    @pytest.mark.parametrize("model", ["library", "uniform", "area"])
-    def test_ser_bit_equal(self, circuit, model):
-        def run():
-            return analyze_ser(circuit, PHI, rate_model=model,
-                               n_frames=FRAMES, n_patterns=PATTERNS,
-                               seed=SEED)
+    @staticmethod
+    def assert_ser_equal(circuit, **kwargs):
+        def run(analyze):
+            return analyze(circuit, PHI, n_frames=FRAMES,
+                           n_patterns=PATTERNS, seed=SEED, **kwargs)
 
-        with core_mode("object"):
-            ref = run()
-        with core_mode("flat"):
-            out = run()
+        ref = run(object_core.analyze_ser)
+        out = run(analyze_ser)
         assert ref.total == out.total
         assert ref.comb == out.comb
         assert ref.reg == out.reg
@@ -194,69 +186,80 @@ class TestStageEquality:
         assert list(ref.per_element) == list(out.per_element)
         assert ref.per_element == out.per_element
 
+    @pytest.mark.parametrize("model", ["library", "uniform", "area"])
+    def test_ser_bit_equal(self, circuit, model):
+        self.assert_ser_equal(circuit, rate_model=model)
+
+    @pytest.mark.parametrize("model", ["library", "uniform", "area"])
+    def test_derated_ser_bit_equal(self, circuit, model):
+        self.assert_ser_equal(circuit, rate_model=model,
+                              electrical_tau=2.0)
+
+
+def golden_subset(cells):
+    """The committed golden digest table, restricted to ``cells``."""
+    golden = dict(load_digest_table(GOLDEN_PATH))
+    golden["cells"] = {key: value for key, value in golden["cells"].items()
+                       if key in cells}
+    assert len(golden["cells"]) == len(cells)
+    return golden
+
 
 class TestChecksumParity:
     """``result_checksum`` is a pure function of the experiment --
-    never of the core that computed it."""
+    the reference core computes the very digests production does."""
 
     @pytest.fixture(scope="class")
     def object_cells(self):
         clear_obs_cache()
-        return run_matrix("small", core="object", **SUBSET).cells
+        with pytest.MonkeyPatch.context() as patch:
+            object_core.install(patch)
+            result = run_matrix("small", **SUBSET)
+        clear_obs_cache()
+        assert compare_digest_tables(
+            result.digest_table(), golden_subset(result.cells)) == []
+        return result.cells
 
     def test_flat_serial_matches_object(self, object_cells):
         clear_obs_cache()
-        flat = run_matrix("small", core="flat", **SUBSET)
+        flat = run_matrix("small", **SUBSET)
         assert flat.cells == object_cells
 
     def test_flat_two_workers_match_object_serial(self, object_cells):
         clear_obs_cache()
-        flat = run_matrix("small", core="flat", workers=2, **SUBSET)
+        flat = run_matrix("small", workers=2, **SUBSET)
         assert flat.cells == object_cells
-
-    def test_cores_share_one_cache(self, object_cells, tmp_path):
-        # Flat results must land under the *same* cache keys: a cold
-        # flat run fills the disk tier, a warm object run reads those
-        # very entries -- and both emit the object-serial digests.
-        cache_dir = str(tmp_path / "cache")
-        clear_obs_cache()
-        cold = run_matrix("small", core="flat", cache=True,
-                          cache_dir=cache_dir, **SUBSET)
-        assert cold.cells == object_cells
-        assert os.listdir(cache_dir)  # the disk tier was really filled
-        clear_obs_cache()
-        warm = run_matrix("small", core="object", cache=True,
-                          cache_dir=cache_dir, **SUBSET)
-        assert warm.cells == object_cells
 
 
 @full
 class TestFullTierParity:
-    """All 36 matrix cells, both cores, against the committed golden."""
+    """All 36 matrix cells against the committed golden."""
 
     @pytest.fixture(scope="class")
     def golden(self):
         return load_digest_table(GOLDEN_PATH)
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(core="object"),
-        dict(core="flat"),
-        dict(core="flat", workers=2),
-    ], ids=["object-serial", "flat-serial", "flat-workers2"])
+    @pytest.mark.parametrize("kwargs", [dict(), dict(workers=2)],
+                             ids=["serial", "workers2"])
     def test_full_matrix_matches_golden(self, golden, kwargs):
         clear_obs_cache()
         result = run_matrix("small", **kwargs)
         assert len(result.cells) == 36
         assert compare_digest_tables(result.digest_table(), golden) == []
 
-    def test_full_matrix_cold_then_warm_across_cores(self, golden,
-                                                     tmp_path):
+    def test_reference_core_matches_golden(self, golden, monkeypatch):
+        object_core.install(monkeypatch)
+        clear_obs_cache()
+        result = run_matrix("small")
+        clear_obs_cache()
+        assert compare_digest_tables(result.digest_table(), golden) == []
+
+    def test_full_matrix_cold_then_warm(self, golden, tmp_path):
         cache_dir = str(tmp_path / "cache")
         clear_obs_cache()
-        cold = run_matrix("small", core="flat", cache=True,
-                          cache_dir=cache_dir)
+        cold = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(cold.digest_table(), golden) == []
+        assert os.listdir(cache_dir)  # the disk tier was really filled
         clear_obs_cache()
-        warm = run_matrix("small", core="object", cache=True,
-                          cache_dir=cache_dir)
+        warm = run_matrix("small", cache=True, cache_dir=cache_dir)
         assert compare_digest_tables(warm.digest_table(), golden) == []

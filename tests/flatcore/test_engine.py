@@ -1,18 +1,11 @@
-"""Engine-mode dispatch and the auto-fallback policy."""
+"""``flat_for``: the memoized arena every analysis stage runs on."""
 
 import warnings
 
 import pytest
 
 from repro.errors import FlatCoreError
-from repro.flatcore import (
-    core_mode,
-    current_mode,
-    flat_for,
-    lower,
-    set_core_mode,
-)
-from repro.flatcore import engine
+from repro.flatcore import engine, flat_for, lower
 from repro.netlist import Circuit
 
 
@@ -26,75 +19,33 @@ def tiny():
     return c
 
 
-class TestModeSelection:
-    def test_default_mode_is_auto(self):
-        assert current_mode() == "auto"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(FlatCoreError, match="unknown core mode"):
-            set_core_mode("turbo")
-        assert current_mode() == "auto"
-
-    def test_core_mode_restores_previous_even_on_error(self):
-        with pytest.raises(RuntimeError):
-            with core_mode("object"):
-                assert current_mode() == "object"
-                raise RuntimeError("boom")
-        assert current_mode() == "auto"
-
-    def test_object_mode_never_lowers(self, tiny):
-        with core_mode("object"):
-            assert flat_for(tiny) is None
-        assert tiny._flat_cache is None
-
-    def test_flat_and_auto_lower_and_memoize(self, tiny):
-        with core_mode("flat"):
-            flat = flat_for(tiny)
-        assert flat is not None
-        with core_mode("auto"):
-            assert flat_for(tiny) is flat  # memoized on the circuit
+class TestFlatFor:
+    def test_lowers_and_memoizes(self, tiny):
+        flat = flat_for(tiny)
+        assert flat.n_gates == 1
+        assert flat_for(tiny) is flat  # memoized on the circuit
 
     def test_mutation_invalidates_the_memo(self, tiny):
-        with core_mode("auto"):
-            first = flat_for(tiny)
-            tiny.add_gate("h", "NOT", ["g"])
-            second = flat_for(tiny)
+        first = flat_for(tiny)
+        tiny.add_gate("h", "NOT", ["g"])
+        second = flat_for(tiny)
         assert second is not first
         assert second.n_gates == first.n_gates + 1
 
+    def test_lowering_failure_raises_and_is_retried(self, tiny,
+                                                    monkeypatch):
+        calls = []
 
-class TestFallbackPolicy:
-    def test_auto_falls_back_with_one_warning(self, tiny, monkeypatch):
         def broken(circuit):
+            calls.append(circuit.name)
             raise FlatCoreError("synthetic lowering failure")
 
         monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("auto"):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                assert flat_for(tiny) is None
-            # the failure is cached: no second lowering, no second warn
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                assert flat_for(tiny) is None
-
-    def test_flat_mode_raises_instead_of_falling_back(self, tiny,
-                                                      monkeypatch):
-        def broken(circuit):
-            raise FlatCoreError("synthetic lowering failure")
-
-        monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("flat"):
-            with pytest.raises(FlatCoreError, match="synthetic"):
-                flat_for(tiny)
-
-    def test_failure_memo_cleared_by_mutation(self, tiny, monkeypatch):
-        def broken(circuit):
-            raise FlatCoreError("synthetic lowering failure")
-
-        monkeypatch.setattr(engine, "lower", broken)
-        with core_mode("auto"), pytest.warns(RuntimeWarning):
-            assert flat_for(tiny) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no fallback warning
+            for _ in range(2):
+                with pytest.raises(FlatCoreError, match="synthetic"):
+                    flat_for(tiny)
+        assert calls == ["tiny", "tiny"]  # no failure memo
         monkeypatch.setattr(engine, "lower", lower)
-        tiny.add_gate("h", "NOT", ["g"])  # invalidates _flat_failed
-        with core_mode("auto"):
-            assert flat_for(tiny) is not None
+        assert flat_for(tiny).n_gates == 1

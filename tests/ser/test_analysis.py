@@ -66,6 +66,11 @@ class TestAnalyzeSer:
         with pytest.raises(AnalysisError):
             analyze_ser(tiny_circuit, 0.0)
 
+    def test_unknown_rate_model(self, tiny_circuit):
+        with pytest.raises(AnalysisError, match="unknown rate model"):
+            analyze_ser(tiny_circuit, 20.0, rate_model=RateModel("voodoo"),
+                        n_frames=2, n_patterns=64)
+
     def test_defaults_from_library(self, tiny_circuit):
         analysis = analyze_ser(tiny_circuit, 20.0, n_frames=2,
                                n_patterns=64)

@@ -14,6 +14,7 @@ import pytest
 
 from repro.service.app import (ENDPOINT_NAME, RetimingService,
                                ServiceConfig, read_endpoint)
+from repro.service.queue import JobQueue
 
 TINY_BENCH = """\
 INPUT(a)
@@ -270,3 +271,27 @@ class TestDrain:
         counts = svc.queue.counts()
         assert counts["leased"] == 0 and counts["running"] == 0
         assert not (tmp_path / ENDPOINT_NAME).exists()
+
+
+class TestJobSpecFields:
+    def test_core_field_is_rejected_as_unknown(self, service):
+        _, endpoint = service
+        status, _, payload = request(endpoint, "POST", "/jobs",
+                                     body={**JOB, "core": "flat"})
+        assert status == 400
+        error = payload["error"]
+        assert error["field"] == "core"
+        assert "unknown field" in error["message"]
+
+    def test_persisted_spec_with_stale_core_key_still_runs(self, tmp_path):
+        # A queue written before the analysis-engine knob was removed
+        # may hold specs carrying it; recovery must run them unchanged.
+        stale = JobQueue(str(tmp_path)).submit({**JOB, "core": "object"})
+        with running_service(tmp_path) as (_, endpoint):
+            recovered = wait_terminal(endpoint, stale.id)
+            status, _, payload = request(endpoint, "POST", "/jobs",
+                                         body=JOB)
+            assert status == 202
+            fresh = wait_terminal(endpoint, payload["job"]["id"])
+        assert recovered["state"] == fresh["state"] == "done"
+        assert recovered["result"]["digest"] == fresh["result"]["digest"]
